@@ -1,14 +1,15 @@
 /**
  * @file
- * Golden-output regression for single-core replay: the full stats
- * tree and event ring of every protection scheme, replaying fixed
- * deterministic traces at the default one-core topology, must stay
- * byte-identical to the committed baselines under tests/data/golden_k1.
+ * Golden-output regression for replay: the full stats tree and event
+ * ring of every protection scheme, replaying fixed deterministic
+ * traces at the default one-core topology and at a 4-core topology,
+ * must stay byte-identical to the committed baselines under
+ * tests/data/golden_k1 and tests/data/golden_k4.
  *
- * This is the safety net for the multi-core replay redesign: any
- * refactor of core::System, the schemes, or the stats wiring that
- * changes a single K=1 number — a cycle, a counter, an event — fails
- * here with a diffable payload.
+ * This is the safety net for refactors of the replay engine: any
+ * change to core::System, the schemes, or the stats wiring that moves
+ * a single number — a cycle, a counter, an event — at either core
+ * count fails here with a diffable payload.
  *
  * Regenerate the baselines (only when an intentional model change
  * lands) with:
@@ -43,10 +44,12 @@ constexpr SchemeKind kAllSchemes[] = {
     SchemeKind::MpkVirt,      SchemeKind::DomainVirt,
 };
 
+/** Baseline directory of the @p cores-core topology. */
 std::string
-goldenDir()
+goldenDir(unsigned cores)
 {
-    return std::string(PMODV_TESTDATA_DIR) + "/golden_k1";
+    return std::string(PMODV_TESTDATA_DIR) + "/golden_k" +
+           std::to_string(cores);
 }
 
 bool
@@ -158,9 +161,10 @@ writeFile(const std::string &path, const std::string &payload)
 
 void
 checkTrace(const char *trace_name,
-           const std::vector<TraceRecord> &records)
+           const std::vector<TraceRecord> &records, unsigned cores = 1)
 {
     core::SimConfig cfg;
+    cfg.topology.numCores = cores;
     // Sample a timeline so its serialization is pinned too.
     cfg.samplingEpochCycles = 65536;
     cfg.samplingMaxEpochs = 256;
@@ -170,7 +174,7 @@ checkTrace(const char *trace_name,
         sys.finish();
         const std::string stats_json = stats::toJsonString(sys);
         const std::string events_json = eventsToJson(sys);
-        const std::string stem = goldenDir() + "/" + trace_name + "_" +
+        const std::string stem = goldenDir(cores) + "/" + trace_name + "_" +
                                  arch::schemeName(kind);
         if (regenRequested()) {
             writeFile(stem + ".stats.json", stats_json);
@@ -184,10 +188,11 @@ checkTrace(const char *trace_name,
             << " (run with PMODV_GOLDEN_REGEN=1 to create it)";
         EXPECT_EQ(stats_json, want_stats)
             << arch::schemeName(kind) << " stats drifted on '"
-            << trace_name << "' — K=1 replay is no longer bit-identical";
+            << trace_name << "' — K=" << cores
+            << " replay is no longer bit-identical";
         EXPECT_EQ(events_json, want_events)
             << arch::schemeName(kind) << " event ring drifted on '"
-            << trace_name << "'";
+            << trace_name << "' at K=" << cores;
     }
 }
 
@@ -199,6 +204,16 @@ TEST(GoldenK1, MicroAvlBitIdentical)
 TEST(GoldenK1, MultithreadTraceBitIdentical)
 {
     checkTrace("mt", multithreadTrace());
+}
+
+TEST(GoldenK4, MicroAvlBitIdentical)
+{
+    checkTrace("avl", microTrace(), 4);
+}
+
+TEST(GoldenK4, MultithreadTraceBitIdentical)
+{
+    checkTrace("mt", multithreadTrace(), 4);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
  * one through the legacy TraceSink::put() path.
  */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/system.hh"
@@ -194,6 +196,12 @@ TEST(ReplayBatch, TimelineSamplingBitIdenticalAcrossPaths)
     cfg.samplingMaxEpochs = 512;
     compareAllSchemes(captureMicro("avl"), cfg, "avl+timeline");
     compareAllSchemes(adversarialTrace(), cfg, "adversarial+timeline");
+
+    // The same at a 4-core topology, where the batch engine also
+    // defers the per-core and component counters between epochs.
+    cfg.topology.numCores = 4;
+    compareAllSchemes(captureMicro("avl"), cfg, "avl+timeline+k4");
+    compareAllSchemes(adversarialTrace(), cfg, "adversarial+timeline+k4");
 }
 
 #ifdef PMODV_TESTDATA_DIR
@@ -221,21 +229,33 @@ TEST(ReplayBatch, SplitBatchesMatchSingleBatch)
 {
     // Replaying a trace as several replayBatch() calls must equal one
     // call over the whole span (the deferred counters flush at batch
-    // end, which is invisible in the final totals).
+    // end, which is invisible in the final totals). The 4-core inputs
+    // split the per-core counters too, with and without a timeline.
     const auto records = adversarialTrace();
-    for (SchemeKind kind : kAllSchemes) {
-        core::SimConfig cfg;
-        core::System whole(cfg, kind);
-        core::System split(cfg, kind);
-        whole.replayBatch(records);
-        whole.finish();
-        const std::size_t third = records.size() / 3;
-        std::span<const TraceRecord> all(records);
-        split.replayBatch(all.subspan(0, third));
-        split.replayBatch(all.subspan(third, third));
-        split.replayBatch(all.subspan(2 * third));
-        split.finish();
-        expectIdentical(whole, split, kind, "split-batch");
+    core::SimConfig k4;
+    k4.topology.numCores = 4;
+    core::SimConfig k4_timeline = k4;
+    k4_timeline.samplingEpochCycles = 2048;
+    k4_timeline.samplingMaxEpochs = 512;
+    const std::pair<core::SimConfig, const char *> inputs[] = {
+        {core::SimConfig{}, "split-batch"},
+        {k4, "split-batch+k4"},
+        {k4_timeline, "split-batch+timeline+k4"},
+    };
+    for (const auto &[cfg, label] : inputs) {
+        for (SchemeKind kind : kAllSchemes) {
+            core::System whole(cfg, kind);
+            core::System split(cfg, kind);
+            whole.replayBatch(records);
+            whole.finish();
+            const std::size_t third = records.size() / 3;
+            std::span<const TraceRecord> all(records);
+            split.replayBatch(all.subspan(0, third));
+            split.replayBatch(all.subspan(third, third));
+            split.replayBatch(all.subspan(2 * third));
+            split.finish();
+            expectIdentical(whole, split, kind, label);
+        }
     }
 }
 
