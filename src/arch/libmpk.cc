@@ -90,35 +90,23 @@ LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
 
         patched_pages += vst.size / 4096;
         // The kernel's PTE rewrites invalidate stale translations of
-        // both ranges on every core. With a shootdown bus the two
-        // ranges go out as one broadcast; responding cores that held
-        // stale entries each add an invalidation charge.
+        // both ranges on every core: the two ranges go out as one
+        // broadcast, and responding cores that held stale entries
+        // each add an invalidation charge.
         ++shootdowns;
-        Cycles inval = 0;
-        std::uint64_t pages = 0;
-        if (bus_) {
-            const std::array<ShootdownRange, 2> ranges{
-                ShootdownRange{vst.base, vst.size},
-                ShootdownRange{st.base, st.size}};
-            const ShootdownResult res =
-                bus_->broadcast(activeCore_, tid, ranges);
-            inval = res.cycles;
-            pages = res.pages;
-        } else {
-            inval = topo_.tlbInvalidationCycles;
-            if (tlb_) {
-                pages += tlb_->flushRange(vst.base, vst.size);
-                pages += tlb_->flushRange(st.base, st.size);
-            }
-        }
-        cycles += inval;
-        cycTlbInvalidation += static_cast<double>(inval);
-        shootdownPages += static_cast<double>(pages);
-        profile_.eviction(victim_domain, pages, activeCore_);
+        const std::array<ShootdownRange, 2> ranges{
+            ShootdownRange{vst.base, vst.size},
+            ShootdownRange{st.base, st.size}};
+        const ShootdownResult res =
+            bus_->broadcast(activeCore_, tid, ranges);
+        cycles += res.cycles;
+        cycTlbInvalidation += static_cast<double>(res.cycles);
+        shootdownPages += static_cast<double>(res.pages);
+        profile_.eviction(victim_domain, res.pages, activeCore_);
         postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
                   victim);
         postEvent(trace::EventKind::Shootdown, tid, victim_domain,
-                  pages);
+                  res.pages);
         key = victim;
     }
 

@@ -199,32 +199,21 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
         cycEntryChange += static_cast<double>(params_.dttlbEntryOpCycles);
 
         // Ranged TLB shootdown of the victim's pages, so no stale
-        // VA->key mapping survives. With a shootdown bus (multi-core
-        // replay) the broadcast charges the initiator plus each
-        // responding core that actually held stale entries; without
-        // one (single-core) the legacy flat cost applies.
+        // VA->key mapping survives. The broadcast charges the
+        // initiator plus each responding core that actually held
+        // stale entries.
         ++keyEvictions;
         ++shootdowns;
-        Cycles inval = 0;
-        std::uint64_t pages = 0;
-        if (bus_) {
-            const ShootdownResult res = bus_->broadcast(
-                activeCore_, tid, vinfo.base, vinfo.size);
-            inval = res.cycles;
-            pages = res.pages;
-        } else {
-            inval = topo_.tlbInvalidationCycles;
-            if (tlb_)
-                pages = tlb_->flushRange(vinfo.base, vinfo.size);
-        }
-        cycles += inval;
-        cycTlbInvalidation += static_cast<double>(inval);
-        shootdownPages += static_cast<double>(pages);
-        profile_.eviction(victim_domain, pages, activeCore_);
+        const ShootdownResult res =
+            bus_->broadcast(activeCore_, tid, vinfo.base, vinfo.size);
+        cycles += res.cycles;
+        cycTlbInvalidation += static_cast<double>(res.cycles);
+        shootdownPages += static_cast<double>(res.pages);
+        profile_.eviction(victim_domain, res.pages, activeCore_);
         postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
                   victim);
         postEvent(trace::EventKind::Shootdown, tid, victim_domain,
-                  pages);
+                  res.pages);
 
         key = victim;
     }

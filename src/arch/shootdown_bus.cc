@@ -58,8 +58,8 @@ ShootdownBus::broadcast(CoreId initiator, ThreadId tid,
 
     ShootdownResult result;
     // The initiator's own ranged INVLPG: always paid, whether or not
-    // its TLB held anything — this is exactly the single-core cost,
-    // so a one-core bus degenerates to the legacy charge.
+    // its TLB held anything. On a one-core machine this local flush
+    // is the whole broadcast.
     result.cycles = topo_.tlbInvalidationCycles;
     for (const ShootdownRange &r : ranges) {
         result.pages +=

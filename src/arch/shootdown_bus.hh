@@ -11,12 +11,12 @@
  * the ranged-invalidation cost; the rest acknowledge and return
  * (filtered responses).
  *
- * The bus is shared cross-core state owned by core::System and is
- * only constructed for multi-core topologies — single-core replay
- * keeps the legacy in-line flush path, bit-identical to the
- * pre-topology model. domain_virt never touches the bus: its PT/PTLB
- * permissions are not cached in the address TLBs, which is the
- * paper's central cost asymmetry.
+ * The bus is shared cross-core state owned by core::System, and every
+ * machine has one: on a one-core topology a broadcast has no remote
+ * core to interrupt, so it is just the initiator's local ranged
+ * flush and its single charge. domain_virt never touches the bus:
+ * its PT/PTLB permissions are not cached in the address TLBs, which
+ * is the paper's central cost asymmetry.
  */
 
 #ifndef PMODV_ARCH_SHOOTDOWN_BUS_HH
@@ -59,8 +59,8 @@ struct ShootdownResult
 
 /**
  * Broadcast shootdown fabric over the per-core TLB hierarchies.
- * Attach every core once (core::System does this when building a
- * multi-core machine), then schemes call broadcast() on eviction.
+ * Attach every core once (core::System does this when building the
+ * machine), then schemes call broadcast() on eviction.
  */
 class ShootdownBus : public stats::Group
 {

@@ -40,10 +40,10 @@ struct SimConfig
     arch::ProtParams prot{};
 
     /**
-     * Core count and cross-core invalidation cost. One core (the
-     * default) replays exactly the legacy single-pipeline model;
-     * more cores give each core a private TLB/cache/PTLB state and
-     * route shootdowns over an IPI broadcast bus.
+     * Core count and cross-core invalidation cost. Each core has a
+     * private TLB/cache/PTLB state, and shootdowns go over an IPI
+     * broadcast bus; one core (the default) is the single-pipeline
+     * model, whose broadcasts are local flushes.
      */
     arch::CoreTopology topology{};
 

@@ -36,10 +36,11 @@ virtualCheck(arch::ProtectionScheme &scheme,
 
 } // namespace
 
-CoreContext::CoreContext(stats::Group *parent, unsigned idx,
+CoreContext::CoreContext(stats::Group *machine, unsigned idx,
                          const SimConfig &config,
                          tlb::AddressSpace &space)
-    : stats::Group(parent, "core" + std::to_string(idx)),
+    : stats::Group(config.topology.numCores == 1 ? nullptr : machine,
+                   "core" + std::to_string(idx)),
       cycles(this, "cycles", "cycles accumulated on this core"),
       instructions(this, "instructions",
                    "instructions issued on this core"),
@@ -51,8 +52,10 @@ CoreContext::CoreContext(stats::Group *parent, unsigned idx,
                    "shootdown IPIs with nothing to flush"),
       index(idx)
 {
-    tlb = std::make_unique<tlb::TlbHierarchy>(this, config.tlb, space);
-    caches = std::make_unique<mem::CacheHierarchy>(this, config.memory);
+    // Flat layout on a one-core machine (see the class comment).
+    stats::Group *owner = config.topology.numCores == 1 ? machine : this;
+    tlb = std::make_unique<tlb::TlbHierarchy>(owner, config.tlb, space);
+    caches = std::make_unique<mem::CacheHierarchy>(owner, config.memory);
 }
 
 System::System(const SimConfig &config, arch::SchemeKind scheme,
@@ -78,13 +81,13 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
       cycSyscall(this, "cyc_syscall", "cycles in attach/detach paths"),
       cycCtxSwitch(this, "cyc_ctx_switch",
                    "cycles processing context switches"),
-      opCycles(this, "op_cycles", "cycles per workload operation"),
       ipc(this, "ipc", "instructions per cycle",
           [this]() {
               return cycles.value() == 0
                          ? 0.0
                          : instructions.value() / cycles.value();
           }),
+      opCycles(this, "op_cycles", "cycles per workload operation"),
       timeline(this, "timeline",
                "per-epoch counter deltas (cycles per epoch in "
                "epoch_cycles)"),
@@ -94,34 +97,22 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
     config_.topology.validate();
     events_.bindClock(&cycleCount_);
     const unsigned num_cores = config_.topology.numCores;
-    if (num_cores == 1) {
-        // The legacy flat machine: one TLB/cache pair directly under
-        // the System, no bus — bit-identical to the pre-topology
-        // model (tests/test_golden_k1.cc).
-        tlb_ = std::make_unique<tlb::TlbHierarchy>(this, config_.tlb,
-                                                   space_);
-        caches_ = std::make_unique<mem::CacheHierarchy>(this,
-                                                        config_.memory);
-        scheme_ = arch::makeScheme(scheme, this, config_.prot,
-                                   config_.topology, space_);
-        scheme_->attachCore(0, tlb_.get());
-    } else {
-        for (unsigned k = 0; k < num_cores; ++k)
-            cores_.push_back(std::make_unique<CoreContext>(
-                this, k, config_, space_));
-        scheme_ = arch::makeScheme(scheme, this, config_.prot,
-                                   config_.topology, space_);
-        for (unsigned k = 0; k < num_cores; ++k)
-            scheme_->attachCore(k, cores_[k]->tlb.get());
-        bus_ = std::make_unique<arch::ShootdownBus>(this,
-                                                    config_.topology);
-        for (unsigned k = 0; k < num_cores; ++k)
-            bus_->attachCore(k, cores_[k]->tlb.get(),
-                             &cores_[k]->ipisResponded,
-                             &cores_[k]->ipisFiltered);
-        bus_->setEventRing(&events_);
-        scheme_->setShootdownBus(bus_.get());
+    for (unsigned k = 0; k < num_cores; ++k)
+        cores_.push_back(
+            std::make_unique<CoreContext>(this, k, config_, space_));
+    scheme_ = arch::makeScheme(scheme, this, config_.prot,
+                               config_.topology, space_);
+    // A one-core bus stays out of the stats tree: its broadcast is
+    // just the local flush, so K=1 trees keep their pinned shape.
+    bus_ = std::make_unique<arch::ShootdownBus>(
+        num_cores == 1 ? nullptr : this, config_.topology);
+    for (const auto &core : cores_) {
+        scheme_->attachCore(core->index, core->tlb.get());
+        bus_->attachCore(core->index, core->tlb.get(),
+                         &core->ipisResponded, &core->ipisFiltered);
     }
+    bus_->setEventRing(&events_);
+    scheme_->setShootdownBus(bus_.get());
     scheme_->setEventRing(&events_);
 
     // The visible-latency formula depends only on the (integer)
@@ -208,297 +199,10 @@ System::finish()
 Cycles
 System::makespanCycles() const
 {
-    if (cores_.empty())
-        return cycleCount_;
     Cycles makespan = 0;
     for (const auto &core : cores_)
         makespan = std::max(makespan, core->cycleCount);
     return makespan;
-}
-
-void
-System::doAccess(const trace::TraceRecord &rec)
-{
-    const auto type = rec.type == trace::RecordType::Load
-                          ? AccessType::Read
-                          : AccessType::Write;
-    ++memAccesses;
-    instructions += 1;
-    if (rec.isPmoAccess())
-        ++pmoAccesses;
-
-    // 1. Translate (TLB hierarchy; protection fill runs inside).
-    auto xlate = tlb_->translate(rec.tid, rec.addr);
-
-    // 2. Domain permission check (parallel with the tag check on a
-    //    real machine; serialized costs surface via extraCycles).
-    arch::AccessContext ctx;
-    ctx.tid = rec.tid;
-    ctx.va = rec.addr;
-    ctx.type = type;
-    ctx.entry = xlate.entry;
-    auto check = scheme_->checkAccess(ctx);
-    if (!check.allowed)
-        ++deniedAccesses;
-
-    // 3. Data access. Denied accesses raise an exception instead of
-    //    touching the cache; workloads are well behaved, so model the
-    //    fault as a fixed pipeline-flush cost.
-    Cycles mem_latency = config_.memory.l1.hitLatency;
-    if (check.allowed) {
-        const MemClass cls = rec.isPmoAccess() ? MemClass::Nvm
-                                               : xlate.entry->memClass;
-        mem_latency = caches_->access(rec.addr, type, cls).latency;
-    }
-
-    // The OoO core hides part of the above-L1 latency; protection
-    // extras (walks, remaps, shootdowns, PTLB lookups) serialize.
-    const double visible =
-        1.0 + (1.0 - config_.memOverlap) *
-                  static_cast<double>(xlate.latency + mem_latency - 1);
-    addCycles(static_cast<Cycles>(std::llround(visible)), cycMem);
-    addCycles(xlate.fillExtra, cycProtFill);
-    addCycles(check.extraCycles, cycProtCheck);
-}
-
-void
-System::doAccessMulti(const trace::TraceRecord &rec, CoreContext &core)
-{
-    const auto type = rec.type == trace::RecordType::Load
-                          ? AccessType::Read
-                          : AccessType::Write;
-    ++memAccesses;
-    ++core.memAccesses;
-    instructions += 1;
-    core.instructions += 1;
-    if (rec.isPmoAccess())
-        ++pmoAccesses;
-
-    scheme_->setActiveCore(core.index);
-    auto xlate = core.tlb->translate(rec.tid, rec.addr);
-
-    arch::AccessContext ctx;
-    ctx.tid = rec.tid;
-    ctx.va = rec.addr;
-    ctx.type = type;
-    ctx.entry = xlate.entry;
-    auto check = scheme_->checkAccess(ctx);
-    if (!check.allowed)
-        ++deniedAccesses;
-
-    Cycles mem_latency = config_.memory.l1.hitLatency;
-    if (check.allowed) {
-        const MemClass cls = rec.isPmoAccess() ? MemClass::Nvm
-                                               : xlate.entry->memClass;
-        mem_latency = core.caches->access(rec.addr, type, cls).latency;
-    }
-
-    const Cycles lat = xlate.latency + mem_latency;
-    const Cycles vis =
-        lat < visTable_.size() ? visTable_[lat] : visibleCycles(lat);
-    addCoreCycles(core, vis, cycMem);
-    addCoreCycles(core, xlate.fillExtra, cycProtFill);
-    addCoreCycles(core, check.extraCycles, cycProtCheck);
-}
-
-void
-System::putMulti(const trace::TraceRecord &rec)
-{
-    using trace::RecordType;
-    // Threads are pinned: thread t runs on core t % K and never
-    // migrates, so every record is core-affine by its tid.
-    const unsigned num_cores = config_.topology.numCores;
-    switch (rec.type) {
-      case RecordType::InstBlock: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        instructions += static_cast<double>(rec.aux);
-        core.instructions += static_cast<double>(rec.aux);
-        const Cycles c = (rec.aux + config_.issueWidth - 1) /
-                         config_.issueWidth;
-        addCoreCycles(core, c, cycIssue);
-        break;
-      }
-      case RecordType::Load:
-      case RecordType::Store:
-        doAccessMulti(rec, *cores_[rec.tid % num_cores]);
-        break;
-      case RecordType::SetPerm: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        instructions += 1;
-        core.instructions += 1;
-        addCoreCycles(core, scheme_->setPerm(rec.tid, rec.aux,
-                                             rec.perm()),
-                      cycPermInstr);
-        break;
-      }
-      case RecordType::Wrpkru: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        instructions += 1;
-        core.instructions += 1;
-        addCoreCycles(core, scheme_->wrpkruRaw(
-                                rec.tid,
-                                static_cast<ProtKey>(rec.aux),
-                                rec.perm()),
-                      cycPermInstr);
-        break;
-      }
-      case RecordType::Attach: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        tlb::Region region;
-        region.base = rec.addr;
-        region.size = rec.value;
-        region.domain = rec.aux;
-        region.pagePerm = rec.perm();
-        region.memClass = MemClass::Nvm;
-        region.pageSize = rec.pageSize();
-        space_.map(region);
-        addCoreCycles(core,
-                      scheme_->attach(rec.tid, rec.aux, rec.addr,
-                                      rec.value, rec.perm()),
-                      cycSyscall);
-        break;
-      }
-      case RecordType::Detach: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        addCoreCycles(core, scheme_->detach(rec.tid, rec.aux),
-                      cycSyscall);
-        space_.unmapDomain(rec.aux);
-        break;
-      }
-      case RecordType::ThreadSwitch: {
-        // A thread-switch marker is core-affine scheduling: the named
-        // thread is (re)scheduled on its home core. If it is already
-        // running there the marker is a no-op — the other cores keep
-        // executing undisturbed.
-        const ThreadId to = rec.aux;
-        CoreContext &core = *cores_[to % num_cores];
-        if (core.curTid != to) {
-            scheme_->setActiveCore(core.index);
-            ++core.ctxSwitches;
-            addCoreCycles(core, scheme_->contextSwitch(core.curTid, to),
-                          cycCtxSwitch);
-            core.curTid = to;
-        }
-        break;
-      }
-      case RecordType::OpBegin: {
-        opStart_ = cycleCount_;
-        opInFlight_ = true;
-        if (opTrack_ && rec.hasArrival()) {
-            CoreContext &core = *cores_[rec.tid % num_cores];
-            beginTrackedOp(rec, core.cycleCount, core.idleSkew);
-            if (opForensics_)
-                beginForensics(rec, bucketCycles());
-        }
-        break;
-      }
-      case RecordType::OpEnd:
-        ++operations;
-        if (opInFlight_) {
-            opCycles.sample(cycleCount_ - opStart_);
-            events_.post(trace::EventKind::TxnCommit, rec.tid,
-                         static_cast<std::uint32_t>(rec.aux),
-                         cycleCount_ - opStart_);
-            opInFlight_ = false;
-        }
-        if (opHasArrival_) {
-            CoreContext &core = *cores_[rec.tid % num_cores];
-            if (opForensics_)
-                endForensics(rec, core.cycleCount, core.idleSkew,
-                             bucketCycles());
-            endTrackedOp(core.cycleCount, core.idleSkew);
-        }
-        break;
-    }
-}
-
-void
-System::put(const trace::TraceRecord &rec)
-{
-    using trace::RecordType;
-    if (config_.topology.numCores > 1) {
-        putMulti(rec);
-        timeline.tick(cycleCount_);
-        return;
-    }
-    switch (rec.type) {
-      case RecordType::InstBlock: {
-        instructions += static_cast<double>(rec.aux);
-        const Cycles c = (rec.aux + config_.issueWidth - 1) /
-                         config_.issueWidth;
-        addCycles(c, cycIssue);
-        break;
-      }
-      case RecordType::Load:
-      case RecordType::Store:
-        doAccess(rec);
-        break;
-      case RecordType::SetPerm:
-        instructions += 1;
-        addCycles(scheme_->setPerm(rec.tid, rec.aux, rec.perm()),
-                  cycPermInstr);
-        break;
-      case RecordType::Wrpkru:
-        instructions += 1;
-        addCycles(scheme_->wrpkruRaw(
-                      rec.tid, static_cast<ProtKey>(rec.aux),
-                      rec.perm()),
-                  cycPermInstr);
-        break;
-      case RecordType::Attach: {
-        tlb::Region region;
-        region.base = rec.addr;
-        region.size = rec.value;
-        region.domain = rec.aux;
-        region.pagePerm = rec.perm();
-        region.memClass = MemClass::Nvm;
-        region.pageSize = rec.pageSize();
-        space_.map(region);
-        addCycles(scheme_->attach(rec.tid, rec.aux, rec.addr, rec.value,
-                                  rec.perm()),
-                  cycSyscall);
-        break;
-      }
-      case RecordType::Detach:
-        addCycles(scheme_->detach(rec.tid, rec.aux), cycSyscall);
-        space_.unmapDomain(rec.aux);
-        break;
-      case RecordType::ThreadSwitch:
-        addCycles(scheme_->contextSwitch(currentThread_, rec.aux),
-                  cycCtxSwitch);
-        currentThread_ = rec.aux;
-        break;
-      case RecordType::OpBegin:
-        opStart_ = cycleCount_;
-        opInFlight_ = true;
-        if (opTrack_ && rec.hasArrival()) {
-            beginTrackedOp(rec, cycleCount_, idleSkew_);
-            if (opForensics_)
-                beginForensics(rec, bucketCycles());
-        }
-        break;
-      case RecordType::OpEnd:
-        ++operations;
-        if (opInFlight_) {
-            opCycles.sample(cycleCount_ - opStart_);
-            events_.post(trace::EventKind::TxnCommit, rec.tid,
-                         static_cast<std::uint32_t>(rec.aux),
-                         cycleCount_ - opStart_);
-            opInFlight_ = false;
-        }
-        if (opHasArrival_) {
-            if (opForensics_)
-                endForensics(rec, cycleCount_, idleSkew_,
-                             bucketCycles());
-            endTrackedOp(cycleCount_, idleSkew_);
-        }
-        break;
-    }
-    timeline.tick(cycleCount_);
 }
 
 void
@@ -645,47 +349,52 @@ System::endTrackedOp(Cycles cycle_now, Cycles idle_skew)
 Cycles
 System::visibleCycles(Cycles lat) const
 {
-    // Must stay textually identical to the legacy doAccess() formula:
-    // the determinism tests compare batch and per-record replays
-    // bit for bit.
     const double visible =
         1.0 + (1.0 - config_.memOverlap) * static_cast<double>(lat - 1);
     return static_cast<Cycles>(std::llround(visible));
 }
 
 void
-System::flushBatch(BatchCounters &d)
+System::flushBatch()
 {
+    BatchCounters &d = batch_;
     const std::uint64_t total_cycles =
         d.cycIssue + d.cycMem + d.cycProtFill + d.cycProtCheck +
         d.cycPermInstr + d.cycSyscall + d.cycCtxSwitch;
     cycles += static_cast<double>(total_cycles);
-    cycIssue += static_cast<double>(d.cycIssue);
-    cycMem += static_cast<double>(d.cycMem);
-    cycProtFill += static_cast<double>(d.cycProtFill);
-    cycProtCheck += static_cast<double>(d.cycProtCheck);
-    cycPermInstr += static_cast<double>(d.cycPermInstr);
-    cycSyscall += static_cast<double>(d.cycSyscall);
-    cycCtxSwitch += static_cast<double>(d.cycCtxSwitch);
-    instructions += static_cast<double>(d.instructions);
-    memAccesses += static_cast<double>(d.memAccesses);
-    pmoAccesses += static_cast<double>(d.pmoAccesses);
-    operations += static_cast<double>(d.operations);
-    deniedAccesses += static_cast<double>(d.denied);
-    d = BatchCounters{};
+    // Drain counter by counter: put() flushes after every record, and
+    // a whole-struct reset compiles to a slow string store here.
+    const auto drain = [](stats::Scalar &stat, std::uint64_t &count) {
+        stat += static_cast<double>(count);
+        count = 0;
+    };
+    drain(cycIssue, d.cycIssue);
+    drain(cycMem, d.cycMem);
+    drain(cycProtFill, d.cycProtFill);
+    drain(cycProtCheck, d.cycProtCheck);
+    drain(cycPermInstr, d.cycPermInstr);
+    drain(cycSyscall, d.cycSyscall);
+    drain(cycCtxSwitch, d.cycCtxSwitch);
+    drain(pmoAccesses, d.pmoAccesses);
+    drain(operations, d.operations);
+    drain(deniedAccesses, d.denied);
+    for (auto &core : cores_) {
+        instructions += static_cast<double>(core->pendInstructions);
+        memAccesses += static_cast<double>(core->pendMemAccesses);
+        drain(core->instructions, core->pendInstructions);
+        drain(core->memAccesses, core->pendMemAccesses);
+        core->cycles +=
+            static_cast<double>(core->cycleCount - core->flushedCycles);
+        core->flushedCycles = core->cycleCount;
+    }
 }
 
 void
 System::setComponentStatsDeferred(bool defer)
 {
-    if (config_.topology.numCores == 1) {
-        tlb_->setStatsDeferred(defer);
-        caches_->setStatsDeferred(defer);
-    } else {
-        for (auto &core : cores_) {
-            core->tlb->setStatsDeferred(defer);
-            core->caches->setStatsDeferred(defer);
-        }
+    for (auto &core : cores_) {
+        core->tlb->setStatsDeferred(defer);
+        core->caches->setStatsDeferred(defer);
     }
     scheme_->setStatsDeferred(defer);
 }
@@ -693,70 +402,84 @@ System::setComponentStatsDeferred(bool defer)
 void
 System::flushComponentStats()
 {
-    if (config_.topology.numCores == 1) {
-        tlb_->flushDeferredStats();
-        caches_->flushDeferredStats();
-    } else {
-        for (auto &core : cores_) {
-            core->tlb->flushDeferredStats();
-            core->caches->flushDeferredStats();
-        }
+    for (auto &core : cores_) {
+        core->tlb->flushDeferredStats();
+        core->caches->flushDeferredStats();
     }
     scheme_->flushDeferredStats();
 }
 
 void
+System::put(const trace::TraceRecord &rec)
+{
+    replayRecords(std::span(&rec, 1));
+}
+
+void
 System::replayBatch(std::span<const trace::TraceRecord> records)
+{
+    setComponentStatsDeferred(true);
+    replayRecords(records);
+    setComponentStatsDeferred(false);
+}
+
+void
+System::replayRecords(std::span<const trace::TraceRecord> records)
 {
     using trace::RecordType;
 
-    if (config_.topology.numCores > 1) {
-        // Multi-core replay interleaves the per-core streams record
-        // by record; the single-core batch fast path below stays
-        // untouched so K=1 remains bit-identical to the legacy loop.
-        // Component counters can still be deferred — but only when the
-        // timeline is off, since putMulti ticks after every record and
-        // an epoch snapshot must see exact component values.
-        const bool defer = !timeline.enabled();
-        if (defer)
-            setComponentStatsDeferred(true);
-        for (const trace::TraceRecord &rec : records) {
-            putMulti(rec);
-            timeline.tick(cycleCount_);
-        }
-        if (defer)
-            setComponentStatsDeferred(false);
-        return;
-    }
-
     // Invariants hoisted out of the record loop.
-    tlb::TlbHierarchy *const tlb = tlb_.get();
-    mem::CacheHierarchy *const caches = caches_.get();
     arch::ProtectionScheme *const scheme = scheme_.get();
+    CoreContext &core0 = *cores_.front();
+    const unsigned num_cores = numCores();
+    const bool single_core = num_cores == 1;
     const Cycles l1_hit = config_.memory.l1.hitLatency;
     const std::uint32_t issue_width = config_.issueWidth;
     const bool trivial_check = scheme->alwaysAllows();
     const arch::ProtectionScheme::FastCheckFn check_fn =
         scheme->fastCheck() ? scheme->fastCheck() : &virtualCheck;
 
-    BatchCounters d;
+    // Threads are pinned: thread t runs on core t % K and never
+    // migrates, so every record is core-affine by its tid. The core
+    // becomes the scheme's active core, for the record's scheme calls.
+    // A one-core machine skips the division; its active core is
+    // always core 0.
+    const auto coreOf = [&](ThreadId tid) -> CoreContext & {
+        if (single_core)
+            return core0;
+        CoreContext &core = *cores_[tid % num_cores];
+        scheme->setActiveCore(core.index);
+        return core;
+    };
+    // Advance the machine's and the core's clocks; the caller charges
+    // the same cycles to one attribution bucket.
+    const auto advance = [this](CoreContext &core, Cycles c) {
+        cycleCount_ += c;
+        core.cycleCount += c;
+    };
+
+    BatchCounters &d = batch_;
     std::uint64_t boundary = timeline.nextBoundary();
-    setComponentStatsDeferred(true);
 
     for (const trace::TraceRecord &rec : records) {
         switch (rec.type) {
           case RecordType::Load:
           case RecordType::Store: {
+            CoreContext &core = coreOf(rec.tid);
             const auto type = rec.type == RecordType::Load
                                   ? AccessType::Read
                                   : AccessType::Write;
             const bool pmo = rec.flags & trace::kFlagPmo;
-            ++d.memAccesses;
-            ++d.instructions;
+            ++core.pendMemAccesses;
+            ++core.pendInstructions;
             d.pmoAccesses += pmo ? 1 : 0;
 
-            const auto xlate = tlb->translate(rec.tid, rec.addr);
+            // 1. Translate (TLB hierarchy; protection fill runs inside).
+            const auto xlate = core.tlb->translate(rec.tid, rec.addr);
 
+            // 2. Domain permission check (parallel with the tag check
+            //    on a real machine; serialized costs surface via
+            //    extraCycles).
             bool allowed = true;
             Cycles check_extra = 0;
             if (!trivial_check) {
@@ -772,46 +495,54 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                     ++d.denied;
             }
 
+            // 3. Data access. Denied accesses raise an exception
+            //    instead of touching the cache; workloads are well
+            //    behaved, so model the fault as a fixed pipeline-flush
+            //    cost.
             Cycles mem_latency = l1_hit;
             if (allowed) {
                 const MemClass cls =
                     pmo ? MemClass::Nvm : xlate.entry->memClass;
-                mem_latency = caches->access(rec.addr, type, cls).latency;
+                mem_latency =
+                    core.caches->access(rec.addr, type, cls).latency;
             }
 
+            // The OoO core hides part of the above-L1 latency;
+            // protection extras (walks, remaps, shootdowns, PTLB
+            // lookups) serialize.
             const Cycles lat = xlate.latency + mem_latency;
             const Cycles vis = lat < kVisTableSize ? visTable_[lat]
                                                    : visibleCycles(lat);
-            cycleCount_ += vis + xlate.fillExtra + check_extra;
+            advance(core, vis + xlate.fillExtra + check_extra);
             d.cycMem += vis;
             d.cycProtFill += xlate.fillExtra;
             d.cycProtCheck += check_extra;
             break;
           }
           case RecordType::InstBlock: {
-            d.instructions += rec.aux;
+            CoreContext &core = coreOf(rec.tid);
+            core.pendInstructions += rec.aux;
             const Cycles c = (rec.aux + issue_width - 1) / issue_width;
-            cycleCount_ += c;
+            advance(core, c);
             d.cycIssue += c;
             break;
           }
-          case RecordType::SetPerm: {
-            ++d.instructions;
-            const Cycles c = scheme->setPerm(rec.tid, rec.aux,
-                                             rec.perm());
-            cycleCount_ += c;
-            d.cycPermInstr += c;
-            break;
-          }
+          case RecordType::SetPerm:
           case RecordType::Wrpkru: {
-            ++d.instructions;
-            const Cycles c = scheme->wrpkruRaw(
-                rec.tid, static_cast<ProtKey>(rec.aux), rec.perm());
-            cycleCount_ += c;
+            CoreContext &core = coreOf(rec.tid);
+            ++core.pendInstructions;
+            const Cycles c =
+                rec.type == RecordType::SetPerm
+                    ? scheme->setPerm(rec.tid, rec.aux, rec.perm())
+                    : scheme->wrpkruRaw(rec.tid,
+                                        static_cast<ProtKey>(rec.aux),
+                                        rec.perm());
+            advance(core, c);
             d.cycPermInstr += c;
             break;
           }
           case RecordType::Attach: {
+            CoreContext &core = coreOf(rec.tid);
             tlb::Region region;
             region.base = rec.addr;
             region.size = rec.value;
@@ -822,34 +553,44 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             space_.map(region);
             const Cycles c = scheme->attach(rec.tid, rec.aux, rec.addr,
                                             rec.value, rec.perm());
-            cycleCount_ += c;
+            advance(core, c);
             d.cycSyscall += c;
             break;
           }
           case RecordType::Detach: {
+            CoreContext &core = coreOf(rec.tid);
             const Cycles c = scheme->detach(rec.tid, rec.aux);
-            cycleCount_ += c;
+            advance(core, c);
             d.cycSyscall += c;
             space_.unmapDomain(rec.aux);
             break;
           }
           case RecordType::ThreadSwitch: {
-            const Cycles c = scheme->contextSwitch(currentThread_,
-                                                   rec.aux);
-            cycleCount_ += c;
-            d.cycCtxSwitch += c;
-            currentThread_ = rec.aux;
+            // A thread-switch marker (re)schedules the named thread on
+            // its home core. A one-core machine charges every marker,
+            // even one naming the running thread; on a K-core machine
+            // such a marker is a no-op and the other cores keep
+            // executing undisturbed.
+            const ThreadId to = rec.aux;
+            CoreContext &core = coreOf(to);
+            if (single_core || core.curTid != to) {
+                ++core.ctxSwitches;
+                const Cycles c = scheme->contextSwitch(core.curTid, to);
+                advance(core, c);
+                d.cycCtxSwitch += c;
+                core.curTid = to;
+            }
             break;
           }
           case RecordType::OpBegin:
             opStart_ = cycleCount_;
             opInFlight_ = true;
             if (opTrack_ && rec.hasArrival()) {
-                beginTrackedOp(rec, cycleCount_, idleSkew_);
+                CoreContext &core = coreOf(rec.tid);
+                beginTrackedOp(rec, core.cycleCount, core.idleSkew);
                 if (opForensics_) {
-                    // The batch loop's Scalars lag behind by the
-                    // deferred counters; fold them in so the snapshot
-                    // equals what the per-record path would see.
+                    // The Scalars lag behind by the deferred counters;
+                    // fold them in so the snapshot is exact.
                     auto snap = bucketCycles();
                     addPendingBuckets(snap, d);
                     beginForensics(rec, snap);
@@ -866,31 +607,29 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 opInFlight_ = false;
             }
             if (opHasArrival_) {
+                CoreContext &core = coreOf(rec.tid);
                 if (opForensics_) {
                     auto snap = bucketCycles();
                     addPendingBuckets(snap, d);
-                    endForensics(rec, cycleCount_, idleSkew_, snap);
+                    endForensics(rec, core.cycleCount, core.idleSkew,
+                                 snap);
                 }
-                endTrackedOp(cycleCount_, idleSkew_);
+                endTrackedOp(core.cycleCount, core.idleSkew);
             }
             break;
         }
 
-        // The legacy path ticks the timeline after every record; the
-        // tick only has an effect once cycleCount_ passes the next
-        // epoch boundary, so an explicit boundary compare here is
-        // equivalent — provided the deferred counters are flushed
-        // first, so the epoch snapshot sees exactly the per-record
-        // Scalar values.
+        // The timeline only samples once cycleCount_ passes the next
+        // epoch boundary; flush every deferred counter first, so the
+        // epoch snapshot sees exactly the per-record Scalar values.
         if (cycleCount_ >= boundary) [[unlikely]] {
-            flushBatch(d);
+            flushBatch();
             flushComponentStats();
             timeline.tick(cycleCount_);
             boundary = timeline.nextBoundary();
         }
     }
-    flushBatch(d);
-    setComponentStatsDeferred(false);
+    flushBatch();
 }
 
 } // namespace pmodv::core

@@ -32,17 +32,21 @@ namespace pmodv::core
 {
 
 /**
- * Private replay state of one core on a multi-core machine: its own
- * TLB hierarchy, caches, running thread and cycle attribution. The
- * PMO/domain registry, page tables, DTT/DRT, key-allocation state and
- * shootdown bus stay shared, inside the scheme / System. Single-core
- * machines skip this wrapper entirely and keep the legacy flat
- * layout, which is what the golden-replay tests pin down.
+ * Private replay state of one core: its own TLB hierarchy, caches,
+ * running thread and cycle attribution. The PMO/domain registry, page
+ * tables, DTT/DRT, key-allocation state and shootdown bus stay
+ * shared, inside the scheme / System.
+ *
+ * Every machine has at least one core. A one-core machine lays its
+ * only core out flat: the TLB hierarchy and caches register directly
+ * under the System and the core's own scalars stay out of the stats
+ * tree, so K=1 trees keep the shape the golden-replay tests pin down.
+ * On a K-core machine each core is a `core<k>` group.
  */
 class CoreContext : public stats::Group
 {
   public:
-    CoreContext(stats::Group *parent, unsigned idx,
+    CoreContext(stats::Group *machine, unsigned idx,
                 const SimConfig &config, tlb::AddressSpace &space);
 
     stats::Scalar cycles;        ///< Cycles accumulated on this core.
@@ -54,6 +58,16 @@ class CoreContext : public stats::Group
 
     std::unique_ptr<tlb::TlbHierarchy> tlb;
     std::unique_ptr<mem::CacheHierarchy> caches;
+
+    /**
+     * Counts not yet added to the Scalars above: the replay loop
+     * bumps these, and System drains them into both this core's and
+     * the machine-wide Scalars. The `cycles` Scalar lags cycleCount
+     * by cycleCount - flushedCycles.
+     */
+    std::uint64_t pendInstructions = 0;
+    std::uint64_t pendMemAccesses = 0;
+    Cycles flushedCycles = 0;
 
     /** This core's id (== its position in System's core list). */
     const arch::CoreId index;
@@ -82,6 +96,7 @@ class System : public stats::Group, public trace::TraceSink
     ~System() override;
 
     // -- TraceSink --
+    /** Replay one record: the same step replayBatch() runs. */
     void put(const trace::TraceRecord &rec) override;
     /** Ends the replay: closes the timeline's trailing epoch. */
     void finish() override;
@@ -89,14 +104,16 @@ class System : public stats::Group, public trace::TraceSink
     /**
      * Replay a whole batch of records through the devirtualized hot
      * loop. Produces exactly the same cycles, stats tree, event ring
-     * and timeline as feeding each record through put(): the loop
-     * hoists config/scheme lookups, skips or devirtualizes the
+     * and timeline as feeding each record through put(): both run
+     * the same record step, which skips or devirtualizes the
      * per-access protection check (ProtectionScheme::fastCheck) and
-     * defers the System's own Scalar updates into plain integer
-     * accumulators, flushing them before every timeline epoch
-     * boundary and at the end of the batch. All deferred quantities
-     * are integers well below 2^53, so the batched double adds are
-     * bit-identical to the per-record ones.
+     * defers the System's and the cores' own Scalar updates into
+     * plain integer accumulators, flushing them before every
+     * timeline epoch boundary and at the end of the call. A batch
+     * also defers the components' (TLBs, caches, scheme) counters
+     * the same way. All deferred quantities are integers well below
+     * 2^53, so the batched double adds are bit-identical to
+     * per-record ones.
      *
      * Call finish() after the last batch, exactly as with put().
      */
@@ -105,10 +122,7 @@ class System : public stats::Group, public trace::TraceSink
     /** Total cycles accumulated so far (summed over all cores). */
     Cycles totalCycles() const { return cycleCount_; }
 
-    /**
-     * Wall-clock makespan in cycles: the busiest core's counter on a
-     * multi-core machine, the plain total on a single core.
-     */
+    /** Wall-clock makespan in cycles: the busiest core's counter. */
     Cycles makespanCycles() const;
 
     /** Simulated seconds of makespan at the configured clock. */
@@ -118,19 +132,29 @@ class System : public stats::Group, public trace::TraceSink
     arch::SchemeKind schemeKind() const { return schemeKind_; }
     arch::ProtectionScheme &scheme() { return *scheme_; }
     const arch::ProtectionScheme &scheme() const { return *scheme_; }
-    tlb::TlbHierarchy &tlbs() { return numCores() == 1 ? *tlb_ : *cores_[0]->tlb; }
-    mem::CacheHierarchy &caches() { return numCores() == 1 ? *caches_ : *cores_[0]->caches; }
+    /** Core 0's TLB hierarchy and caches (the whole machine's at K=1). */
+    tlb::TlbHierarchy &tlbs() { return *cores_.front()->tlb; }
+    mem::CacheHierarchy &caches() { return *cores_.front()->caches; }
     tlb::AddressSpace &addressSpace() { return space_; }
 
     /** Core count of this machine. */
     unsigned numCores() const { return config_.topology.numCores; }
 
-    /** Core @p k's private state (multi-core machines only). */
+    /** Core @p k's private state (core 0 is the only one at K=1). */
     CoreContext &coreAt(arch::CoreId k) { return *cores_.at(k); }
 
-    /** The IPI broadcast fabric (null on single-core machines). */
-    arch::ShootdownBus *shootdownBus() { return bus_.get(); }
-    const arch::ShootdownBus *shootdownBus() const { return bus_.get(); }
+    /**
+     * The IPI broadcast fabric, or null on a one-core machine: its bus
+     * has no remote core to interrupt and stays out of the stats tree.
+     */
+    arch::ShootdownBus *shootdownBus()
+    {
+        return numCores() == 1 ? nullptr : bus_.get();
+    }
+    const arch::ShootdownBus *shootdownBus() const
+    {
+        return numCores() == 1 ? nullptr : bus_.get();
+    }
 
     /** The protection layer's flight recorder. */
     trace::EventRing &events() { return events_; }
@@ -217,12 +241,12 @@ class System : public stats::Group, public trace::TraceSink
   private:
     /**
      * Integer accumulators for the System's own counters, filled by
-     * the replayBatch loop instead of bumping the Scalars per record.
+     * the replay loop instead of bumping the Scalars per record
+     * (instructions and memory accesses are counted per core). The
+     * one instance, batch_, is all zero between replay calls.
      */
     struct BatchCounters
     {
-        std::uint64_t instructions = 0;
-        std::uint64_t memAccesses = 0;
         std::uint64_t pmoAccesses = 0;
         std::uint64_t operations = 0;
         std::uint64_t denied = 0;
@@ -235,30 +259,16 @@ class System : public stats::Group, public trace::TraceSink
         std::uint64_t cycCtxSwitch = 0;
     };
 
-    void doAccess(const trace::TraceRecord &rec);
-    void addCycles(Cycles c, stats::Scalar &bucket)
-    {
-        cycleCount_ += c;
-        cycles += static_cast<double>(c);
-        bucket += static_cast<double>(c);
-    }
+    /**
+     * The record step behind put() and replayBatch(): replay
+     * @p records in order, each on the core its thread is pinned to
+     * (thread t runs on core t % K).
+     */
+    void replayRecords(std::span<const trace::TraceRecord> records);
 
-    /** Charge @p c to @p core's clock and the machine-wide buckets. */
-    void addCoreCycles(CoreContext &core, Cycles c, stats::Scalar &bucket)
-    {
-        cycleCount_ += c;
-        core.cycleCount += c;
-        cycles += static_cast<double>(c);
-        core.cycles += static_cast<double>(c);
-        bucket += static_cast<double>(c);
-    }
-
-    /** Multi-core record dispatch (put() and replayBatch() at K>1). */
-    void putMulti(const trace::TraceRecord &rec);
-    void doAccessMulti(const trace::TraceRecord &rec, CoreContext &core);
-
-    /** Drain @p d into the Scalars (and reset it). */
-    void flushBatch(BatchCounters &d);
+    /** Drain batch_ and every core's pending counts into the Scalars
+     *  (and reset them). */
+    void flushBatch();
 
     /**
      * Switch every owned component (TLBs, caches, memory, scheme) in
@@ -282,9 +292,7 @@ class System : public stats::Group, public trace::TraceSink
      * serving core's virtual clock (@p cycle_now + @p idle_skew) to
      * the stamped arrival if the core is ahead of the arrival
      * process (the jump moves only the idle offset — no attribution
-     * bucket is charged), then sample the queueing delay. The three
-     * dispatch paths (put, putMulti, replayBatch) all funnel here so
-     * their outputs stay bit-identical.
+     * bucket is charged), then sample the queueing delay.
      */
     void beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
                         Cycles &idle_skew);
@@ -297,7 +305,7 @@ class System : public stats::Group, public trace::TraceSink
     bucketCycles() const;
 
     /** Fold @p d's not-yet-flushed bucket cycles into @p snap (the
-     *  batch loop's Scalars lag behind by exactly these). */
+     *  replay loop's Scalars lag behind by exactly these). */
     static void addPendingBuckets(
         std::array<std::uint64_t, stats::kSlowDigestBuckets> &snap,
         const BatchCounters &d);
@@ -327,15 +335,12 @@ class System : public stats::Group, public trace::TraceSink
     arch::SchemeKind schemeKind_;
     trace::EventRing events_;
     tlb::AddressSpace space_;
-    /** Single-core layout: TLB/caches directly under the System. */
-    std::unique_ptr<tlb::TlbHierarchy> tlb_;
-    std::unique_ptr<mem::CacheHierarchy> caches_;
-    /** Multi-core layout: one CoreContext per core instead. */
+    /** One CoreContext per core (flat at K=1). */
     std::vector<std::unique_ptr<CoreContext>> cores_;
     std::unique_ptr<arch::ShootdownBus> bus_;
     std::unique_ptr<arch::ProtectionScheme> scheme_;
     Cycles cycleCount_ = 0;
-    ThreadId currentThread_ = 0;
+    BatchCounters batch_;
     /** visTable_[lat] = visible cycles for translate+mem latency lat. */
     std::vector<Cycles> visTable_;
     /** Cycle count at the most recent OpBegin (op in flight if set). */
@@ -345,8 +350,6 @@ class System : public stats::Group, public trace::TraceSink
     // ---- request-latency tracking (config.opClasses > 0) ----
     /** True when the op_lat/op_queue histograms exist. */
     bool opTrack_ = false;
-    /** Single-core idle offset (multi-core uses CoreContext's). */
-    Cycles idleSkew_ = 0;
     /** Arrival stamp / class of the in-flight tracked op. */
     Cycles opArrival_ = 0;
     std::uint32_t opClassCur_ = 0;

@@ -79,25 +79,19 @@ Machine::Machine(arch::SchemeKind kind, const arch::ProtParams &params,
                                                std::size_t{1} << 16);
     ring_->bindClock(&totalCycles_);
     scheme_ = arch::makeScheme(kind, &root_, params, topo_, space_);
+    bus_ = std::make_unique<arch::ShootdownBus>(&root_, topo_);
     for (unsigned k = 0; k < topo_.numCores; ++k) {
-        stats::Group *parent = &root_;
-        if (topo_.numCores > 1) {
-            coreGroups_.push_back(std::make_unique<stats::Group>(
-                &root_, "core" + std::to_string(k)));
-            parent = coreGroups_.back().get();
-        }
+        coreGroups_.push_back(std::make_unique<stats::Group>(
+            &root_, "core" + std::to_string(k)));
         tlbs_.push_back(std::make_unique<tlb::TlbHierarchy>(
-            parent, tlb::TlbHierarchyParams{}, space_));
+            coreGroups_.back().get(), tlb::TlbHierarchyParams{},
+            space_));
         scheme_->attachCore(k, tlbs_.back().get());
+        bus_->attachCore(k, tlbs_.back().get(), nullptr, nullptr);
         curTid_.push_back(0);
     }
-    if (topo_.numCores > 1) {
-        bus_ = std::make_unique<arch::ShootdownBus>(&root_, topo_);
-        for (unsigned k = 0; k < topo_.numCores; ++k)
-            bus_->attachCore(k, tlbs_[k].get(), nullptr, nullptr);
-        bus_->setEventRing(ring_.get());
-        scheme_->setShootdownBus(bus_.get());
-    }
+    bus_->setEventRing(ring_.get());
+    scheme_->setShootdownBus(bus_.get());
     scheme_->setEventRing(ring_.get());
 }
 
@@ -167,12 +161,8 @@ Machine::access(ThreadId tid, Addr va, AccessType type)
 }
 
 void
-Machine::contextSwitch(ThreadId from, ThreadId to)
+Machine::contextSwitch(ThreadId to)
 {
-    if (topo_.numCores == 1) {
-        addSchemeCycles(scheme_->contextSwitch(from, to));
-        return;
-    }
     // Core-affine scheduling: `to` lands on its home core; a switch
     // only happens if that core runs a different thread.
     const arch::CoreId core = to % topo_.numCores;
@@ -317,7 +307,7 @@ class Runner
           case OpKind::ThreadSwitch:
             if (op.tid != currentTid_) {
                 for (auto &m : machines_)
-                    m->contextSwitch(currentTid_, op.tid);
+                    m->contextSwitch(op.tid);
                 currentTid_ = op.tid;
             }
             break;
@@ -570,8 +560,7 @@ class Runner
             }
             const auto ipis = counts[static_cast<std::size_t>(
                 trace::EventKind::Ipi)];
-            const double responded =
-                m.bus() ? m.bus()->ipisResponded.value() : 0.0;
+            const double responded = m.bus().ipisResponded.value();
             if (static_cast<double>(ipis) != responded) {
                 std::ostringstream detail;
                 detail << ipis << " Ipi events vs " << responded

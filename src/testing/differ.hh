@@ -80,15 +80,16 @@ class Machine
     void detach(ThreadId tid, DomainId domain);
     void setPerm(ThreadId tid, DomainId domain, Perm perm);
     arch::CheckResult access(ThreadId tid, Addr va, AccessType type);
-    void contextSwitch(ThreadId from, ThreadId to);
+    /** Schedule thread @p to on its home core (to % K). */
+    void contextSwitch(ThreadId to);
 
     arch::ProtectionScheme &scheme() { return *scheme_; }
     const arch::ProtectionScheme &scheme() const { return *scheme_; }
     trace::EventRing &events() { return *ring_; }
 
-    /** The IPI fabric (null on single-core machines). */
-    arch::ShootdownBus *bus() { return bus_.get(); }
-    const arch::ShootdownBus *bus() const { return bus_.get(); }
+    /** The IPI fabric (one core's broadcast is its local flush). */
+    arch::ShootdownBus &bus() { return *bus_; }
+    const arch::ShootdownBus &bus() const { return *bus_; }
 
     /** Cycles attributable to the protection scheme itself. */
     Cycles schemeCycles() const { return schemeCycles_; }
@@ -107,9 +108,9 @@ class Machine
     BugInjection inject_;
     stats::Group root_;
     tlb::AddressSpace space_;
-    /** Per-core stats groups (multi-core only; avoids "dtlb" clashes). */
+    /** Per-core stats groups (avoid "dtlb" clashes between cores). */
     std::vector<std::unique_ptr<stats::Group>> coreGroups_;
-    /** One TLB hierarchy per core ([0] is the whole machine at K=1). */
+    /** One TLB hierarchy per core. */
     std::vector<std::unique_ptr<tlb::TlbHierarchy>> tlbs_;
     std::unique_ptr<trace::EventRing> ring_;
     std::unique_ptr<arch::ShootdownBus> bus_;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared fixture utilities for protection-scheme tests: a miniature
- * machine (address space + TLB hierarchy + scheme) with helpers to
- * attach PMOs and issue checked accesses.
+ * one-core machine (address space + TLB hierarchy + shootdown bus +
+ * scheme) with helpers to attach PMOs and issue checked accesses.
  */
 
 #ifndef PMODV_TESTS_SCHEME_TEST_UTIL_HH
@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "arch/factory.hh"
+#include "arch/shootdown_bus.hh"
 #include "stats/stats.hh"
 #include "tlb/hierarchy.hh"
 
@@ -42,6 +43,9 @@ class SchemeHarness
             &root_, tlb::TlbHierarchyParams{}, space_);
         scheme_ = arch::makeScheme(kind, &root_, params, topo, space_);
         scheme_->attachCore(0, tlb_.get());
+        bus_ = std::make_unique<arch::ShootdownBus>(nullptr, topo);
+        bus_->attachCore(0, tlb_.get(), nullptr, nullptr);
+        scheme_->setShootdownBus(bus_.get());
     }
 
     /** Attach a PMO: map the region and notify the scheme. */
@@ -120,6 +124,7 @@ class SchemeHarness
     stats::Group root_;
     tlb::AddressSpace space_;
     std::unique_ptr<tlb::TlbHierarchy> tlb_;
+    std::unique_ptr<arch::ShootdownBus> bus_;
     std::unique_ptr<arch::ProtectionScheme> scheme_;
 };
 

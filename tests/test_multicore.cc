@@ -226,7 +226,11 @@ TEST(MultiCore, DomainVirtNeverTouchesTheBus)
     EXPECT_GT(sys.totalCycles(), 0u);
 }
 
-/** Single-core machines keep the legacy in-line flush path: no bus. */
+/**
+ * A one-core machine still shoots down through a bus, but that bus
+ * has no remote core and stays out of the stats tree, so the public
+ * accessor reports none.
+ */
 TEST(MultiCore, SingleCoreHasNoBus)
 {
     System sys(SimConfig{}, SchemeKind::MpkVirt);
