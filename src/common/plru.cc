@@ -129,14 +129,14 @@ TreePlru::reset()
 TrueLru::TrueLru(unsigned num_ways) : numWays_(num_ways)
 {
     panic_if(num_ways == 0, "TrueLru needs at least one way");
-    stamps_.assign(num_ways, 0);
+    touchTime_.assign(num_ways, 0);
 }
 
 void
 TrueLru::touch(unsigned way)
 {
     panic_if(way >= numWays_, "TrueLru::touch way %u out of range", way);
-    stamps_[way] = ++clock_;
+    touchTime_[way] = ++clock_;
 }
 
 unsigned
@@ -144,7 +144,7 @@ TrueLru::victim() const
 {
     unsigned best = 0;
     for (unsigned w = 1; w < numWays_; ++w) {
-        if (stamps_[w] < stamps_[best])
+        if (touchTime_[w] < touchTime_[best])
             best = w;
     }
     return best;
@@ -153,7 +153,7 @@ TrueLru::victim() const
 void
 TrueLru::reset()
 {
-    stamps_.assign(numWays_, 0);
+    touchTime_.assign(numWays_, 0);
     clock_ = 0;
 }
 

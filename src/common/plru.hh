@@ -1,8 +1,8 @@
 /**
  * @file
  * Tree pseudo-LRU replacement state, as used by the DTTLB and PTLB in
- * the paper ("Pseudo LRU in our implementation") and by the cache and
- * TLB models.
+ * the paper ("Pseudo LRU in our implementation") and by the TLB
+ * models.
  */
 
 #ifndef PMODV_COMMON_PLRU_HH
@@ -24,7 +24,7 @@ namespace pmodv
  * redirected.
  *
  * The tree bits live in a small inline bit array so a TreePlru can be
- * stored by value — one per cache/TLB set in a contiguous vector —
+ * stored by value — one per TLB set in a contiguous vector —
  * with no per-set heap allocation on the replay hot path.
  */
 class TreePlru
@@ -139,8 +139,8 @@ class TrueLru
 
   private:
     unsigned numWays_;
-    /** stamps_[w] = logical time of last touch of way w. */
-    std::vector<std::uint64_t> stamps_;
+    /** touchTime_[w] = logical time of last touch of way w. */
+    std::vector<std::uint64_t> touchTime_;
     std::uint64_t clock_ = 0;
 };
 

@@ -31,20 +31,6 @@ findU64Scalar(const std::uint64_t *a, unsigned n, std::uint64_t target)
     return -1;
 }
 
-unsigned
-argminU64Scalar(const std::uint64_t *a, unsigned n)
-{
-    // Branchless select so wide stamp rows don't mispredict.
-    unsigned best = 0;
-    std::uint64_t best_val = a[0];
-    for (unsigned w = 1; w < n; ++w) {
-        const bool smaller = a[w] < best_val;
-        best = smaller ? w : best;
-        best_val = smaller ? a[w] : best_val;
-    }
-    return best;
-}
-
 #if defined(__x86_64__) && !defined(PMODV_FORCE_SCALAR)
 
 const bool gHaveAvx2 = __builtin_cpu_supports("avx2");
@@ -64,44 +50,6 @@ findU64Avx2(const std::uint64_t *a, unsigned n, std::uint64_t target)
     // Over-read lanes (n not a multiple of 4, padding) filtered here.
     found &= n < 64 ? (1ull << n) - 1 : ~0ull;
     return found ? __builtin_ctzll(found) : -1;
-}
-
-__attribute__((target("avx2"))) unsigned
-argminU64Avx2(const std::uint64_t *a, unsigned n)
-{
-    // Unsigned 64-bit min via the signed-compare trick: flipping the
-    // sign bit makes _mm256_cmpgt_epi64 order unsigned values.
-    const __m256i flip =
-        _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-    __m256i best = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a)), flip);
-    for (unsigned i = 4; i < n; i += 4) {
-        const __m256i v = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
-            flip);
-        best = _mm256_blendv_epi8(best, v, _mm256_cmpgt_epi64(best, v));
-    }
-    const __m128i lo = _mm256_castsi256_si128(best);
-    const __m128i hi = _mm256_extracti128_si256(best, 1);
-    const __m128i m2 = _mm_blendv_epi8(lo, hi, _mm_cmpgt_epi64(lo, hi));
-    const std::uint64_t v0 =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(m2));
-    const std::uint64_t v1 =
-        static_cast<std::uint64_t>(_mm_extract_epi64(m2, 1));
-    const std::uint64_t min_val =
-        (v0 < v1 ? v0 : v1) ^ 0x8000000000000000ULL;
-    // Second pass: the earliest index holding the minimum (the same
-    // tie-break the scalar scan applies).
-    const __m256i want =
-        _mm256_set1_epi64x(static_cast<long long>(min_val));
-    for (unsigned i = 0;; i += 4) {
-        const __m256i row = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const int mask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(row, want)));
-        if (mask)
-            return i + static_cast<unsigned>(__builtin_ctz(mask));
-    }
 }
 
 const char *

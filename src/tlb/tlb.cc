@@ -38,11 +38,10 @@ Tlb::Tlb(stats::Group *parent, const TlbParams &params)
     setValid_.assign(numSets_, 0);
 }
 
-template <unsigned A>
 TlbEntry *
-Tlb::lookupImpl(Addr va)
+Tlb::lookup(Addr va)
 {
-    const unsigned assoc = A ? A : params_.assoc;
+    const unsigned assoc = params_.assoc;
     // L0 fast path: repeated access to the last-translated 4K page
     // skips the set probes. Any structural change bumps gen_, so a
     // stale filter can never hit.
@@ -89,23 +88,6 @@ Tlb::lookupImpl(Addr va)
     return nullptr;
 }
 
-TlbEntry *
-Tlb::lookup(Addr va)
-{
-    // Dispatch once on the configured width so the probe loops above
-    // compile with constant trip counts for the common geometries.
-    switch (params_.assoc) {
-      case 4:
-        return lookupImpl<4>(va);
-      case 6:
-        return lookupImpl<6>(va);
-      case 8:
-        return lookupImpl<8>(va);
-      default:
-        return lookupImpl<0>(va);
-    }
-}
-
 const TlbEntry *
 Tlb::probe(Addr va) const
 {
@@ -123,21 +105,18 @@ Tlb::probe(Addr va) const
     return nullptr;
 }
 
-template <bool Dedupe, unsigned A>
 TlbEntry &
-Tlb::insertImpl(const TlbEntry &entry)
+Tlb::fill(const TlbEntry &entry, bool dedupe)
 {
-    const unsigned assoc = A ? A : params_.assoc;
+    const unsigned assoc = params_.assoc;
     const std::size_t si = setIndexFor(entry.vpn);
     const std::uint64_t *row = tags_.data() + si * assoc;
     // Reuse an existing entry for the same page, else an invalid way,
     // else the pseudo-LRU victim. A full set (the steady state) skips
     // the free-way probe via the per-set valid count.
-    int victim = -1;
-    if constexpr (Dedupe) {
-        victim = simd::findU64(row, assoc,
-                               packTag(entry.vpn, entry.pageSize));
-    }
+    int victim = dedupe ? simd::findU64(row, assoc,
+                                        packTag(entry.vpn, entry.pageSize))
+                        : -1;
     if (victim < 0 && setValid_[si] < assoc)
         victim = simd::findU64(row, assoc, 0);
     if (victim < 0) {
@@ -178,31 +157,13 @@ Tlb::insertImpl(const TlbEntry &entry)
 TlbEntry &
 Tlb::insert(const TlbEntry &entry)
 {
-    switch (params_.assoc) {
-      case 4:
-        return insertImpl<true, 4>(entry);
-      case 6:
-        return insertImpl<true, 6>(entry);
-      case 8:
-        return insertImpl<true, 8>(entry);
-      default:
-        return insertImpl<true, 0>(entry);
-    }
+    return fill(entry, true);
 }
 
 TlbEntry &
 Tlb::insertFresh(const TlbEntry &entry)
 {
-    switch (params_.assoc) {
-      case 4:
-        return insertImpl<false, 4>(entry);
-      case 6:
-        return insertImpl<false, 6>(entry);
-      case 8:
-        return insertImpl<false, 8>(entry);
-      default:
-        return insertImpl<false, 0>(entry);
-    }
+    return fill(entry, false);
 }
 
 template <typename Pred>

@@ -147,16 +147,6 @@ class Tlb : public stats::Group
                (static_cast<std::uint64_t>(ps) << 1) | 1;
     }
 
-    /** First way of set @p si in the flat way array. */
-    TlbEntry *setWays(std::size_t si)
-    {
-        return ways_.data() + si * params_.assoc;
-    }
-    const TlbEntry *setWays(std::size_t si) const
-    {
-        return ways_.data() + si * params_.assoc;
-    }
-
     void dropEntry(std::size_t flat, std::size_t si)
     {
         ways_[flat].valid = false;
@@ -165,17 +155,8 @@ class Tlb : public stats::Group
         --setValid_[si];
     }
 
-    /**
-     * Bodies of lookup()/insert()/insertFresh(), specialized on the
-     * associativity (A == 0 reads params_.assoc at runtime). The
-     * public entry points dispatch on the common widths so the SIMD
-     * probe loops fully unroll with compile-time trip counts.
-     */
-    template <unsigned A> TlbEntry *lookupImpl(Addr va);
-
-    /** Shared body of insert()/insertFresh(). */
-    template <bool Dedupe, unsigned A>
-    TlbEntry &insertImpl(const TlbEntry &entry);
+    /** Shared body of insert() (@p dedupe) and insertFresh(). */
+    TlbEntry &fill(const TlbEntry &entry, bool dedupe);
 
     void touchWay(std::size_t si, unsigned way)
     {

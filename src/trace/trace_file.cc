@@ -86,6 +86,20 @@ fileSize(std::FILE *file, const std::string &path)
     return static_cast<std::uint64_t>(st.st_size);
 }
 
+/**
+ * fatal() unless @p rec's type byte names a RecordType: TraceSummary
+ * indexes its per-type counts by that byte.
+ */
+void
+checkRecordType(const TraceRecord &rec, std::uint64_t index,
+                const std::string &path)
+{
+    const auto type = static_cast<unsigned>(rec.type);
+    fatal_if(type >= kNumRecordTypes,
+             "trace file '%s': record %llu has invalid type %u",
+             path.c_str(), static_cast<unsigned long long>(index), type);
+}
+
 } // namespace
 
 TraceFileWriter::TraceFileWriter(const std::string &path) : path_(path)
@@ -209,6 +223,8 @@ TraceFileReader::loadIntoArena()
         fatal_if(std::fread(records.data(), sizeof(TraceRecord), count_,
                             file_) != count_,
                  "truncated trace file '%s'", path_.c_str());
+        for (std::uint64_t i = 0; i < count_; ++i)
+            checkRecordType(records[i], i, path_);
         fatal_if(std::fseek(file_,
                             static_cast<long>(
                                 headerBytes_ +
@@ -239,8 +255,11 @@ TraceFileReader::view()
         // Verify the body against the header before anyone replays
         // from it. A full recompute also covers the arena fallback.
         TraceSummary actual;
-        for (const TraceRecord &rec : buf->records())
+        std::uint64_t index = 0;
+        for (const TraceRecord &rec : buf->records()) {
+            checkRecordType(rec, index++, path_);
             actual.add(rec);
+        }
         fatal_if(actual.checksum != headerSummary_.checksum,
                  "trace file '%s' failed checksum verification "
                  "(header %016llx, body %016llx)",
@@ -263,6 +282,7 @@ TraceFileReader::next(TraceRecord &rec)
         return false;
     if (std::fread(&rec, sizeof(rec), 1, file_) != 1)
         return false;
+    checkRecordType(rec, readSoFar_, path_);
     ++readSoFar_;
     return true;
 }

@@ -16,7 +16,7 @@ namespace
 {
 
 CacheParams
-smallCache(ReplPolicy repl = ReplPolicy::Lru)
+smallCache()
 {
     CacheParams p;
     p.name = "c";
@@ -24,7 +24,6 @@ smallCache(ReplPolicy repl = ReplPolicy::Lru)
     p.assoc = 4;        // 4 sets.
     p.lineBytes = 64;
     p.hitLatency = 1;
-    p.repl = repl;
     return p;
 }
 
@@ -104,17 +103,6 @@ TEST(Cache, InvalidateSingleLine)
     EXPECT_FALSE(c.probe(0x1000));
 }
 
-TEST(Cache, PlruPolicyWorks)
-{
-    stats::Group root(nullptr, "");
-    Cache c(&root, smallCache(ReplPolicy::TreePlru));
-    for (int i = 0; i < 100; ++i)
-        c.access(0x1000 + (i % 8) * 0x100, AccessType::Read);
-    // 8 lines rotate over 4 ways: misses dominate but never crash,
-    // and hit+miss accounting matches total accesses.
-    EXPECT_DOUBLE_EQ(c.hits.value() + c.misses.value(), 100.0);
-}
-
 TEST(Cache, MissRateFormula)
 {
     stats::Group root(nullptr, "");
@@ -131,6 +119,16 @@ TEST(CacheDeathTest, RejectsBadGeometry)
     p.lineBytes = 60; // Not a power of two.
     EXPECT_EXIT(Cache(&root, p), ::testing::ExitedWithCode(1),
                 "power of two");
+}
+
+TEST(CacheDeathTest, RejectsLruWiderThan16Ways)
+{
+    stats::Group root(nullptr, "");
+    CacheParams p = smallCache();
+    p.sizeBytes = 2048; // 32 lines in one 32-way set.
+    p.assoc = 32;
+    EXPECT_EXIT(Cache(&root, p), ::testing::ExitedWithCode(1),
+                "at most 16 ways");
 }
 
 TEST(MainMemory, LatenciesByClass)

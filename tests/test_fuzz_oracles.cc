@@ -66,22 +66,26 @@ class CacheFuzz : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(CacheFuzz, MatchesLruOracle)
 {
-    stats::Group root(nullptr, "");
-    mem::CacheParams params;
-    params.sizeBytes = 4096; // 64 lines.
-    params.assoc = 4;        // 16 sets.
-    params.lineBytes = 64;
-    params.repl = mem::ReplPolicy::Lru;
-    mem::Cache cache(&root, params);
-    CacheOracle oracle(16, 4);
+    // 4 ways, plus the two configured widths: 8-way L1D, 16-way L2.
+    for (unsigned ways : {4u, 8u, 16u}) {
+        stats::Group root(nullptr, "");
+        mem::CacheParams params;
+        params.sizeBytes = 16 * ways * 64; // 16 sets.
+        params.assoc = ways;
+        params.lineBytes = 64;
+        mem::Cache cache(&root, params);
+        CacheOracle oracle(16, ways);
 
-    Rng rng(GetParam());
-    for (int i = 0; i < 20000; ++i) {
-        const Addr line = rng.next(256); // 4x capacity: heavy churn.
-        const Addr addr = line * 64 + rng.next(64);
-        const bool hit =
-            cache.access(addr, AccessType::Read).hit;
-        ASSERT_EQ(hit, oracle.access(line)) << "iteration " << i;
+        Rng rng(GetParam());
+        const std::uint64_t lines = 4 * 16 * ways; // 4x capacity.
+        for (int i = 0; i < 20000; ++i) {
+            const Addr line = rng.next(lines); // Heavy churn.
+            const Addr addr = line * 64 + rng.next(64);
+            const bool hit =
+                cache.access(addr, AccessType::Read).hit;
+            ASSERT_EQ(hit, oracle.access(line))
+                << "ways " << ways << ", iteration " << i;
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -224,6 +225,22 @@ class TraceFileTest : public ::testing::Test
         std::fwrite(&count, sizeof(count), 1, f);
         std::fwrite(records.data(), sizeof(TraceRecord),
                     records.size(), f);
+        std::fclose(f);
+    }
+
+    /** Overwrite the type byte of record @p index in the file. */
+    void
+    patchType(std::size_t header_bytes, std::size_t index,
+              std::uint8_t type)
+    {
+        std::FILE *f = std::fopen(path_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f,
+                   static_cast<long>(header_bytes +
+                                     index * sizeof(TraceRecord) +
+                                     offsetof(TraceRecord, type)),
+                   SEEK_SET);
+        std::fwrite(&type, 1, 1, f);
         std::fclose(f);
     }
 
@@ -446,6 +463,47 @@ TEST_F(TraceFileTest, RejectsChecksumMismatch)
             reader.view();
         },
         ::testing::ExitedWithCode(1), "checksum");
+}
+
+TEST_F(TraceFileTest, RejectsOutOfRangeRecordType)
+{
+    // The per-type counts are indexed by the type byte, so a byte past
+    // the last RecordType must be rejected before it is counted: by the
+    // v2 checksum pass, by next() and by the v1 decode.
+    for (const std::uint8_t bad : {12, 13, 40}) {
+        const std::string msg = "trace file '.*': record 2 has invalid "
+                                "type " +
+                                std::to_string(bad);
+        {
+            TraceFileWriter writer(path_.string());
+            for (const auto &rec : sampleRecords())
+                writer.put(rec);
+        }
+        patchType(kTraceHeaderBytesV2, 2, bad);
+        EXPECT_EXIT(
+            {
+                TraceFileReader reader(path_.string());
+                reader.view();
+            },
+            ::testing::ExitedWithCode(1), msg);
+        EXPECT_EXIT(
+            {
+                TraceFileReader reader(path_.string());
+                TraceRecord rec;
+                while (reader.next(rec)) {
+                }
+            },
+            ::testing::ExitedWithCode(1), msg);
+
+        writeV1(sampleRecords());
+        patchType(kTraceHeaderBytesV1, 2, bad);
+        EXPECT_EXIT(
+            {
+                TraceFileReader reader(path_.string());
+                reader.view();
+            },
+            ::testing::ExitedWithCode(1), msg);
+    }
 }
 
 TEST_F(TraceFileTest, RejectsHeaderCountDisagreement)
